@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +37,6 @@ class RunConfig:
     output_dir: Path
     seed: int
     config_hash: str
-    threads: int
 
 
 def load_config(path: str, out_override: str | None = None,
@@ -68,16 +66,13 @@ def load_config(path: str, out_override: str | None = None,
     seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
     out = Path(out_override if out_override is not None
                else raw.get("output_dir", "out"))
-    threads = int(os.environ.get("STRINGMASS_THREADS", "0") or 0)
-    if threads < 0:
-        raise ValueError("STRINGMASS_THREADS must be nonnegative")
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True).encode()
         + f"|seed={seed}".encode()).hexdigest()[:16]
     return RunConfig(params=params, grid=grid, n_modes=n_modes,
                      evolve_t_end=t_end, evolve_dt=dt, snapshot_every=snap,
                      fock_n_max=n_max, output_dir=out, seed=seed,
-                     config_hash=digest, threads=threads)
+                     config_hash=digest)
 
 
 def _write(path: Path, text: str) -> None:

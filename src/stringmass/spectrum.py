@@ -13,15 +13,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketCollision, RobinViolation
 from .model import CalibratedMeasure, ModelParams, calibrate
-from .mufunc import GridSpec, MuFunction, robin_residual
+from .mufunc import GridSpec, MuFunction, robin_residual, simpson_weights
 
 _SCAN_SUBDIV = 4096
 _SCAN_BRACKETS = 20  # dense-scan range (0, 20*pi) used for n0 detection
 _ROOT_SEP = 1e-9
+_SCAN_XTOL = 1e-14  # a root is refined to within _SCAN_XTOL + _RTOL*|root|
+_RTOL = 8.9e-16
 
 
 def secular_negative(omega, params: ModelParams):
@@ -58,45 +59,101 @@ def secular_positive(omega, params: ModelParams):
     return val if val.ndim else float(val)
 
 
-def _scan_roots(f, lo: float, hi: float, subdiv: int) -> list[float]:
-    """All sign-change roots of ``f`` on (lo, hi) via dense scan + brentq."""
-    xs = np.linspace(lo, hi, subdiv + 1)
+def secular_positive_deriv(omega, params: ModelParams):
+    """Analytic d/domega of :func:`secular_positive`."""
+    w = np.asarray(omega, dtype=float)
+    d0, d1 = params.delta(0), params.delta(1)
+    mu0, mu1 = params.mu0, params.mu1
+    a0, a1 = w - mu0 * (w * w + d0), w - mu1 * (w * w + d1)
+    c0, c1 = w + mu0 * (w * w + d0), w + mu1 * (w * w + d1)
+    val = (np.exp(-w) * ((1.0 - 2.0 * mu0 * w) * a1 + a0 * (1.0 - 2.0 * mu1 * w)
+                         - a0 * a1)
+           - np.exp(w) * ((1.0 + 2.0 * mu0 * w) * c1 + c0 * (1.0 + 2.0 * mu1 * w)
+                          + c0 * c1))
+    return val if val.ndim else float(val)
+
+
+def _refine(f, lo, hi, flo, xtol: float) -> np.ndarray:
+    """Bisect all brackets [lo, hi] of ``f`` together; ``flo`` holds f(lo).
+
+    Each bracket is halved until it is narrower than xtol + _RTOL*|x| or f
+    vanishes at its midpoint; the midpoints are returned.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    neg = np.asarray(flo) < 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        idx = np.flatnonzero(hi - lo >= xtol + _RTOL * np.abs(mid))
+        if idx.size == 0:
+            return mid
+        m = mid[idx]
+        fm = f(m)
+        zero = fm == 0.0
+        up = ((fm < 0.0) == neg[idx]) | zero  # f(m) has f(lo)'s sign: root above m
+        down = ~up | zero
+        lo[idx[up]] = m[up]
+        hi[idx[down]] = m[down]
+
+
+def _scan_roots(f, xs, xtol: float = _SCAN_XTOL, df=None):
+    """Sign-change roots of ``f`` on every row of the scan grid ``xs``.
+
+    Returns (rows, roots) row by row and ascending within a row, the order in
+    which a cell-by-cell scan meets them.  A grid point where f is exactly 0
+    is a root, and so is one point of each cell whose end values differ in
+    sign.  Given the derivative ``df``, a cell where f keeps its sign but df
+    changes sign is split at the extremum when f changes sign there, which
+    recovers a pair of roots closer together than the grid step.
+    """
+    xs = np.atleast_2d(xs)
     ys = f(xs)
-    roots = []
-    for i in range(subdiv):
-        y0, y1 = ys[i], ys[i + 1]
-        if y0 == 0.0:
-            roots.append(float(xs[i]))
-        elif y0 * y1 < 0.0:
-            roots.append(float(brentq(f, xs[i], xs[i + 1],
-                                      xtol=1e-14, rtol=8.9e-16)))
-    if ys[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return roots
+    rz, cz = np.nonzero(ys == 0.0)
+    prod = ys[:, :-1] * ys[:, 1:]
+    r, c = np.nonzero(prod < 0.0)
+    lo, hi, flo = xs[r, c], xs[r, c + 1], ys[r, c]
+    if df is not None:
+        ds = df(xs)
+        re, ce = np.nonzero((prod > 0.0) & (ds[:, :-1] * ds[:, 1:] < 0.0))
+        ext = _refine(df, xs[re, ce], xs[re, ce + 1], ds[re, ce], xtol)
+        fe = f(ext)
+        split = fe * ys[re, ce] < 0.0
+        re, ce, ext, fe = re[split], ce[split], ext[split], fe[split]
+        r = np.concatenate([r, re, re])
+        lo = np.concatenate([lo, xs[re, ce], ext])
+        hi = np.concatenate([hi, ext, xs[re, ce + 1]])
+        flo = np.concatenate([flo, ys[re, ce], fe])
+    rows = np.concatenate([rz, r])
+    roots = np.concatenate([xs[rz, cz], _refine(f, lo, hi, flo, xtol)])
+    order = np.lexsort((roots, rows))
+    return rows[order], roots[order]
 
 
-def _polish_negative(omega: float, params: ModelParams) -> float:
+def _polish_negative(omega, params: ModelParams) -> np.ndarray:
+    """Up to three Newton steps on every root; a root stops at a zero
+    derivative or at a step longer than 0.1."""
+    omega = np.array(omega, dtype=float)
+    idx = np.arange(omega.size)
     for _ in range(3):
-        df = secular_negative_deriv(omega, params)
-        if df == 0.0:
-            break
-        step = secular_negative(omega, params) / df
-        if abs(step) > 0.1:
-            break
-        omega -= step
+        w = omega[idx]
+        df = secular_negative_deriv(w, params)
+        step = secular_negative(w, params)
+        go = df != 0.0
+        step[go] /= df[go]
+        go &= ~(np.abs(step) > 0.1)
+        idx = idx[go]
+        omega[idx] -= step[go]
     return omega
 
 
 def bracket_counts(params: ModelParams, k_lo: int, k_hi: int,
                    subdiv: int = _SCAN_SUBDIV) -> dict[int, list[float]]:
     """Roots of the oscillatory secular function per pi-bracket (k*pi,(k+1)*pi)."""
-    f = lambda w: secular_negative(w, params)
-    out = {}
-    for k in range(k_lo, k_hi):
-        lo = max(k * math.pi, 1e-9) + 1e-9
-        hi = (k + 1) * math.pi - 1e-9
-        out[k] = _scan_roots(f, lo, hi, subdiv)
-    return out
+    ks = np.arange(k_lo, k_hi)
+    lo = np.maximum(ks * math.pi, 1e-9) + 1e-9
+    hi = (ks + 1) * math.pi - 1e-9
+    rows, roots = _scan_roots(lambda w: secular_negative(w, params),
+                              np.linspace(lo, hi, subdiv + 1, axis=-1))
+    return {k: roots[rows == i].tolist() for i, k in enumerate(range(k_lo, k_hi))}
 
 
 def detect_threshold(params: ModelParams) -> tuple[int, list[float]]:
@@ -115,9 +172,9 @@ def detect_threshold(params: ModelParams) -> tuple[int, list[float]]:
 def find_negative_modes(params: ModelParams, k_max: int) -> list[float]:
     """First ``k_max`` roots of the oscillatory secular equation, ascending.
 
-    The low range is handled by a dense sign scan; above the detected
-    threshold each pi-bracket is solved by one bisection seeded at the
-    large-k asymptote kpi + (1/mu0 + 1/mu1)/(kpi).
+    The low range is handled by a dense sign scan; above it each pi-bracket
+    whose ends differ in sign is bisected, all of them together, and any
+    other bracket is scanned densely.  Every root then gets a Newton polish.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -125,18 +182,24 @@ def find_negative_modes(params: ModelParams, k_max: int) -> list[float]:
     f = lambda w: secular_negative(w, params)
     k = _SCAN_BRACKETS
     while len(roots) < k_max:
-        lo = k * math.pi + 1e-8
-        hi = (k + 1) * math.pi - 1e-8
-        if f(lo) * f(hi) < 0.0:
-            roots.append(float(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)))
-        else:
-            roots.extend(_scan_roots(f, lo, hi, _SCAN_SUBDIV))
-        k += 1
-    roots = sorted(_polish_negative(w, params) for w in roots[:k_max])
-    for a, b in zip(roots, roots[1:]):
-        if b - a < _ROOT_SEP:
-            raise BracketCollision(f"roots {a} and {b} closer than {_ROOT_SEP}")
-    return roots
+        ks = np.arange(k, k + k_max - len(roots))
+        lo = ks * math.pi + 1e-8
+        hi = (ks + 1) * math.pi - 1e-8
+        flo = f(lo)
+        one = flo * f(hi) < 0.0
+        rows, scanned = _scan_roots(
+            f, np.linspace(lo[~one], hi[~one], _SCAN_SUBDIV + 1, axis=-1))
+        bracket = np.concatenate([np.flatnonzero(one), np.flatnonzero(~one)[rows]])
+        found = np.concatenate([_refine(f, lo[one], hi[one], flo[one], 1e-13),
+                                scanned])
+        roots.extend(found[np.argsort(bracket, kind="stable")].tolist())
+        k += ks.size
+    roots = np.sort(_polish_negative(roots[:k_max], params))
+    close = np.flatnonzero(np.diff(roots) < _ROOT_SEP)
+    if close.size:
+        a, b = float(roots[close[0]]), float(roots[close[0] + 1])
+        raise BracketCollision(f"roots {a} and {b} closer than {_ROOT_SEP}")
+    return roots.tolist()
 
 
 def find_positive_modes(params: ModelParams,
@@ -144,12 +207,16 @@ def find_positive_modes(params: ModelParams,
     """Roots of the exponential secular equation, split into (physical, flagged).
 
     Physical roots satisfy omega^2 < w2 (lambda below the string threshold);
-    any further roots up to ``omega_cap`` are returned flagged.
+    any further roots up to ``omega_cap`` are returned flagged.  The scan
+    splits cells at extrema of the secular function, so a near-degenerate
+    pair of roots inside one cell is found.
     """
     w_phys = math.sqrt(params.w2)
     cap = omega_cap if omega_cap is not None else w_phys + 10.0
-    f = lambda w: secular_positive(w, params)
-    roots = _scan_roots(f, 1e-9, cap, 10_000)
+    _, roots = _scan_roots(lambda w: secular_positive(w, params),
+                           np.linspace(1e-9, cap, 10_001),
+                           df=lambda w: secular_positive_deriv(w, params))
+    roots = roots.tolist()
     physical = [w for w in roots if w < w_phys]
     flagged = [w for w in roots if w >= w_phys]
     return physical, flagged
@@ -346,11 +413,7 @@ def gram_matrix(spec: Spectrum, grid: GridSpec, n_modes: int) -> np.ndarray:
     """Gram matrix <Y_m, Y_n>_mu of the first ``n_modes`` basis functions."""
     basis = spec.basis(grid)[:n_modes]
     B = np.stack([y.values for y in basis])
-    h = grid.h
-    w = np.full(grid.n_grid + 1, 2.0 * h / 3.0)
-    w[1::2] = 4.0 * h / 3.0
-    w[0] = w[-1] = h / 3.0
-    G = (B * w) @ B.T
+    G = (B * simpson_weights(grid.n_grid)) @ B.T
     a0 = np.asarray([y.v0 for y in basis])
     a1 = np.asarray([y.v1 for y in basis])
     G += spec.cal.alpha0 * np.outer(a0, a0) + spec.cal.alpha1 * np.outer(a1, a1)

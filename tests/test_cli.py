@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,8 +166,11 @@ def test_module_error_maps_to_exit_code(config_path, tmp_path, monkeypatch):
     assert _run(config_path, "spectrum", tmp_path / "out3") == 3
 
 
-def test_threads_env_validated(config_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("STRINGMASS_THREADS", "-2")
-    assert _run(config_path, "calibrate", tmp_path / "out") == 1
-    monkeypatch.setenv("STRINGMASS_THREADS", "4")
-    assert _run(config_path, "calibrate", tmp_path / "out") == 0
+def test_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, stringmass; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -39,8 +39,6 @@ def test_gridspec_validation():
         GridSpec(15)
     with pytest.raises(ValueError):
         GridSpec(17)
-    with pytest.raises(ValueError):
-        GridSpec(64, quadrature="trapezoid")
     g = GridSpec(64)
     assert g.h == pytest.approx(1.0 / 64)
     assert g.x[0] == 0.0 and g.x[-1] == 1.0

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import loglog_fit, matrix_frequencies, secular_scan
+from oracles import bisect, loglog_fit, matrix_frequencies, secular_scan
 from stringmass.model import ModelParams, calibrate
 from stringmass.mufunc import GridSpec, MuFunction, inner_mu, robin_atoms, robin_residual
 from stringmass.spectrum import (
+    _scan_roots,
     asymptote_error,
     basis_mode,
     bracket_counts,
@@ -21,8 +23,19 @@ from stringmass.spectrum import (
     secular_negative,
     secular_negative_deriv,
     secular_positive,
+    secular_positive_deriv,
     zero_mode_defect,
 )
+
+# Parameters whose two exponential-family modes lie closer together than the
+# positive-family scan step: ROADMAP item 2's first repro and three draws of
+# the benchmark's parameter box.
+NEAR_DEGENERATE = [
+    (1.0, 1.0, 100.0, 0.0, 0.0),
+    (6.61878, 4.72141, 86.3968, 0.799058, 0.243417),
+    (1.27493, 1.18723, 71.7567, 0.511975, 0.0337111),
+    (19.0603, 6.24517, 71.6818, 0.912459, 0.0156523),
+]
 
 
 def test_secular_negative_at_pi_multiples(generic_params):
@@ -41,6 +54,77 @@ def test_secular_negative_deriv_matches_fd(generic_params):
           - secular_negative(w - h, generic_params)) / (2.0 * h)
     assert secular_negative_deriv(w, generic_params) == pytest.approx(
         fd, rel=1e-7)
+
+
+def test_secular_positive_deriv_matches_fd(generic_params):
+    for p in (generic_params, ModelParams(*NEAR_DEGENERATE[0])):
+        for w in (0.3, 2.7, 9.5):
+            h = 1e-6 * w
+            fd = (secular_positive(w + h, p) - secular_positive(w - h, p)) / (2.0 * h)
+            assert secular_positive_deriv(w, p) == pytest.approx(fd, rel=1e-7)
+
+
+def _scan_loop(f, xs):
+    """The cell-by-cell scan the vectorized one replaces, with bisection."""
+    ys = [f(x) for x in xs]
+    roots = []
+    for i in range(len(xs) - 1):
+        if ys[i] == 0.0:
+            roots.append(xs[i])
+        elif ys[i] * ys[i + 1] < 0.0:
+            roots.append(bisect(f, xs[i], xs[i + 1], tol=1e-15))
+    if ys[-1] == 0.0:
+        roots.append(xs[-1])
+    return roots
+
+
+def test_scan_roots_grid_zeros_and_adjacent_cells():
+    # exact zeros at the first, an interior and the last grid point of the
+    # first row, roots 0.3 and 0.34 in adjacent cells; the second row starts
+    # and ends on a zero
+    f = lambda x: x * (x - 0.5) * (x - 1.0) * (x - 0.3) * (x - 0.34)
+    xs = np.stack([np.linspace(0.0, 1.0, 17), np.linspace(0.5, 1.0, 17)])
+    rows, roots = _scan_roots(f, xs)
+    assert rows.tolist() == [0, 0, 0, 0, 0, 1, 1]
+    assert roots[[0, 3, 4, 5, 6]].tolist() == [0.0, 0.5, 1.0, 0.5, 1.0]
+    assert roots[1:3] == pytest.approx([0.3, 0.34], abs=1e-14)
+    for i, row in enumerate(xs):
+        expected = _scan_loop(f, row.tolist())
+        assert roots[rows == i] == pytest.approx(expected, abs=1e-14)
+        # a row scanned alone gives the same roots as inside the 2-D grid
+        assert _scan_roots(f, row)[1].tolist() == roots[rows == i].tolist()
+
+
+def test_bracket_counts_match_per_bracket_scan(generic_params):
+    f = lambda w: secular_negative(w, generic_params)
+    counts = bracket_counts(generic_params, 0, 4, subdiv=256)
+    for k, got in counts.items():
+        lo = max(k * math.pi, 1e-9) + 1e-9
+        hi = (k + 1) * math.pi - 1e-9
+        expected = _scan_loop(f, np.linspace(lo, hi, 257).tolist())
+        assert got == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("params", NEAR_DEGENERATE)
+def test_near_degenerate_exponential_pair_found(params):
+    p = ModelParams(*params)
+    got = np.sort(p.w2 - build_spectrum(p, n_neg=8).lambdas)
+    oracle = matrix_frequencies(p, 1600, k=8)
+    assert np.sum(got < p.w2) == np.sum(oracle < p.w2) == 2
+    assert got[:6] == pytest.approx(oracle[:6], rel=1e-4)
+
+
+def test_build_spectrum_emits_no_warnings(generic_params):
+    rng = np.random.default_rng(2026)
+    log_uniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    draws = [generic_params] + [
+        ModelParams(log_uniform(0.05, 20), log_uniform(0.05, 20),
+                    log_uniform(0.1, 100), log_uniform(0.01, 100),
+                    log_uniform(0.01, 100)) for _ in range(200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in draws:
+            build_spectrum(p, n_neg=64)
 
 
 def test_first_root_resonance(resonant_params):
