@@ -3,6 +3,7 @@ coupled to harmonically bound point masses at its ends."""
 
 from .model import CalibratedMeasure, ModelParams, calibrate, calibrate_alpha, coupling_A
 from .mufunc import (
+    Basis,
     GridSpec,
     MuFunction,
     inner_modified,

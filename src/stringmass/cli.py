@@ -39,13 +39,34 @@ class RunConfig:
     config_hash: str
 
 
+# Known keys of the config root and of each section.
+_KNOWN_KEYS = {
+    "config": {"params", "grid", "n_modes", "evolve", "fock", "output_dir", "seed"},
+    "params": {"mu0", "mu1", "w2", "w02", "w12"},
+    "grid": {"n_grid"},
+    "evolve": {"t_end", "dt", "snapshot_every"},
+    "fock": {"n_max"},
+}
+
+
+def _check_keys(raw) -> None:
+    """Raise ValueError if the root or a section is not an object or has a
+    key outside :data:`_KNOWN_KEYS`."""
+    for where, known in _KNOWN_KEYS.items():
+        obj = raw if where == "config" else raw.get(where, {})
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where} must be an object")
+        unknown = sorted(set(obj) - known)
+        if unknown:
+            raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
 def load_config(path: str, out_override: str | None = None,
                 seed_override: int | None = None) -> RunConfig:
     """Parse and fully validate the config; raises ValueError on any defect."""
     with open(path) as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("config root must be an object")
+    _check_keys(raw)
     p = raw["params"]
     params = model.ModelParams(mu0=float(p["mu0"]), mu1=float(p["mu1"]),
                                w2=float(p["w2"]), w02=float(p["w02"]),
@@ -109,28 +130,19 @@ def _build_spectrum(cfg: RunConfig, n_neg: int) -> spectrum.Spectrum:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     spec = _build_spectrum(cfg, cfg.n_modes)
-    lines = [f"# config={cfg.config_hash}",
-             "n,class,omega,lambda,g,asymptote_error"]
-    for m in spec.modes:
-        err = (_FMT.format(spectrum.asymptote_error(m.omega, cfg.params))
-               if m.kind == "neg" else "nan")
-        lines.append(",".join([str(m.n), m.kind, _FMT.format(m.omega),
-                               _FMT.format(m.lam), _FMT.format(m.g), err]))
-    _write(cfg.output_dir / "spectrum.csv", "\n".join(lines) + "\n")
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    spectrum.export_csv(spec, cfg.output_dir / "spectrum.csv",
+                        header=[f"# config={cfg.config_hash}"])
     return 0
 
 
 def cmd_modes(cfg: RunConfig) -> int:
     spec = _build_spectrum(cfg, cfg.n_modes)
-    basis = spec.basis(cfg.grid)
-    for m, y in zip(spec.modes, basis):
-        lines = [f"# config={cfg.config_hash}",
-                 f"# atom0={_FMT.format(y.v0)}", f"# atom1={_FMT.format(y.v1)}",
-                 "x,value"]
-        for xi, vi in zip(y.x, y.values):
-            lines.append(f"{_FMT.format(xi)},{_FMT.format(vi)}")
-        _write(cfg.output_dir / "modes" / f"mode_{m.n}.csv",
-               "\n".join(lines) + "\n")
+    out = cfg.output_dir / "modes"
+    out.mkdir(parents=True, exist_ok=True)
+    for m, y in zip(spec.modes, spec.basis(cfg.grid)):
+        mufunc.save_csv(y, out / f"mode_{m.n}.csv",
+                        header=[f"# config={cfg.config_hash}"])
     return 0
 
 

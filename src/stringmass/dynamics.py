@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import BlowUp, CFLViolation, FrequencyDomainError, GridMismatch
 from .model import CalibratedMeasure, ModelParams
-from .mufunc import GridSpec, MuFunction, inner_mu, norm_mu, rn_derivative
+from .mufunc import (Basis, GridSpec, MuFunction, inner_mu, norm_mu, rn_derivative,
+                     simpson_weights)
 from .spectrum import Spectrum
 
 _BLOWUP_FACTOR = 1e6
@@ -61,21 +62,19 @@ def project(data: CauchyData, spec: Spectrum,
     basis = spec.basis(grid)
     if n_modes is not None:
         basis = basis[:n_modes]
-    q = np.asarray([inner_mu(y, data.Q, spec.cal) for y in basis])
-    p = np.asarray([inner_mu(y, data.P, spec.cal) for y in basis])
-    rec = _reconstruct(q, basis, grid)
+    # <Y_n, F>_mu for every n at once: the atom terms plus one Simpson matmul
+    w = simpson_weights(grid.n_grid)
+    q, p = (spec.cal.alpha0 * basis.v0 * F.v0 + spec.cal.alpha1 * basis.v1 * F.v1
+            + basis.values @ (w * F.values) for F in (data.Q, data.P))
+    rec = _reconstruct(q, basis)
     resid = norm_mu(data.Q - rec, spec.cal)
     return ModeCoefficients(q=q, p=p, spectrum=spec, n_grid=grid.n_grid,
                             truncation_residual=resid)
 
 
-def _reconstruct(coeffs: np.ndarray, basis: list[MuFunction],
-                 grid: GridSpec) -> MuFunction:
-    B = np.stack([y.values for y in basis])
-    vals = coeffs @ B
-    v0 = float(np.dot(coeffs, [y.v0 for y in basis]))
-    v1 = float(np.dot(coeffs, [y.v1 for y in basis]))
-    return MuFunction(vals, v0, v1)
+def _reconstruct(coeffs: np.ndarray, basis: Basis) -> MuFunction:
+    return MuFunction(coeffs @ basis.values, float(coeffs @ basis.v0),
+                      float(coeffs @ basis.v1))
 
 
 def evolve_modes(coeffs: ModeCoefficients, t: float) -> CauchyData:
@@ -100,10 +99,9 @@ def evolve_modes(coeffs: ModeCoefficients, t: float) -> CauchyData:
             and max(np.max(np.abs(qt.imag)), np.max(np.abs(pt.imag)))
             > 1e-12 * scale):
         raise FrequencyDomainError("imaginary residue in real evolution")
-    grid = GridSpec(coeffs.n_grid)
-    basis = spec.basis(grid)[: coeffs.q.size]
-    Q = _reconstruct(qt.real, basis, grid)
-    P = _reconstruct(pt.real, basis, grid)
+    basis = spec.basis(GridSpec(coeffs.n_grid))[: coeffs.q.size]
+    Q = _reconstruct(qt.real, basis)
+    P = _reconstruct(pt.real, basis)
     return CauchyData(Q=Q, P=P, time=t)
 
 

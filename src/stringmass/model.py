@@ -14,6 +14,7 @@ and A(j) = mu_j*delta_j / (1 - alpha_j*mu_j*delta_j).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class ModelParams:
     w12: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in
+                   (self.mu0, self.mu1, self.w2, self.w02, self.w12)):
+            raise ValueError("model parameters must be finite")
         if not (self.mu0 > 0 and self.mu1 > 0):
             raise ValueError("boundary mass ratios must be positive")
         if not self.w2 > 0:

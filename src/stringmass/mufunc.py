@@ -4,6 +4,7 @@ A :class:`MuFunction` stores interior samples on a uniform grid (the grid
 endpoint samples are the one-sided traces F(0+), F(1-)) plus two
 independent atom values F(0), F(1).  This mirrors the decomposition
 R + L2(0,1) + R exactly, so the trace/atom distinction cannot be conflated.
+A :class:`Basis` holds many such functions as one array.
 
 The calculus layer provides the mu-inner products, Radon-Nikodym
 derivatives, the modified Leibniz rule probe, the generalized Laplacian
@@ -12,6 +13,7 @@ and the Robin-domain residual.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,6 +112,37 @@ class MuFunction:
         return MuFunction(self.values * c, self.v0 * c, self.v1 * c)
 
     __rmul__ = __mul__
+
+
+@dataclass(frozen=True)
+class Basis:
+    """Sampled basis functions as one read-only array.
+
+    ``values`` has one row per function on the grid; ``v0``/``v1`` hold the
+    atom values.  Indexing gives a :class:`MuFunction` view of one row and
+    slicing gives a ``Basis``, so a basis reads like a list of functions.
+    """
+
+    values: np.ndarray
+    v0: np.ndarray
+    v1: np.ndarray
+
+    def __post_init__(self):
+        for name in ("values", "v0", "v1"):
+            arr = np.asarray(getattr(self, name), dtype=float).view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Basis(self.values[i], self.v0[i], self.v1[i])
+        return MuFunction(self.values[i], float(self.v0[i]), float(self.v1[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def _check_same_grid(u: MuFunction, v: MuFunction):
@@ -213,20 +246,30 @@ def robin_atoms(trace0: float, trace1: float,
             trace1 / (1.0 + cal.alpha1 * cal.a1))
 
 
-def save_csv(F: MuFunction, path) -> None:
-    """CSV with atom header records and x,value rows at 17 significant digits."""
-    lines = [f"# atom0={F.v0:.17g}", f"# atom1={F.v1:.17g}", "x,value"]
-    for xi, vi in zip(F.x, F.values):
-        lines.append(f"{xi:.17g},{vi:.17g}")
+@lru_cache(maxsize=8)
+def _x_column(size: int) -> tuple[str, ...]:
+    """Grid abscissae formatted for :func:`save_csv`, shared by every file."""
+    return tuple(f"{x:.17g}" for x in np.linspace(0.0, 1.0, size).tolist())
+
+
+def save_csv(F: MuFunction, path, header: Sequence[str] = ()) -> None:
+    """CSV with atom header records and x,value rows at 17 significant digits.
+
+    ``header`` lines (e.g. a ``# config=`` stamp) are written first.
+    """
+    lines = [*header, f"# atom0={F.v0:.17g}", f"# atom1={F.v1:.17g}", "x,value"]
+    lines += [f"{x},{v:.17g}"
+              for x, v in zip(_x_column(F.values.size), F.values.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_csv(path) -> MuFunction:
+    """Read a :func:`save_csv` file; header lines other than the atoms are skipped."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    v0 = float(lines[0].split("=", 1)[1])
-    v1 = float(lines[1].split("=", 1)[1])
-    vals = np.asarray([float(ln.split(",")[1]) for ln in lines[3:] if ln],
+        lines = fh.read().splitlines()
+    head = lines.index("x,value")
+    meta = dict(ln[2:].partition("=")[::2] for ln in lines[:head] if ln.startswith("# "))
+    vals = np.asarray([float(ln.split(",")[1]) for ln in lines[head + 1:] if ln],
                       dtype=float)
-    return MuFunction(vals, v0, v1)
+    return MuFunction(vals, float(meta["atom0"]), float(meta["atom1"]))

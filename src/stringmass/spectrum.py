@@ -10,13 +10,14 @@ lambda < w2), and an affine zero mode on a codimension-one parameter locus.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BracketCollision, RobinViolation
 from .model import CalibratedMeasure, ModelParams, calibrate
-from .mufunc import GridSpec, MuFunction, robin_residual, simpson_weights
+from .mufunc import Basis, GridSpec, MuFunction, simpson_weights
 
 _SCAN_SUBDIV = 4096
 _SCAN_BRACKETS = 20  # dense-scan range (0, 20*pi) used for n0 detection
@@ -339,24 +340,42 @@ def _make_mode(n: int, kind: str, omega: float, lam: float,
                 g=g, g_formula=g_formula, g_warning=warn)
 
 
+def _sample_basis(modes: list[Mode], params: ModelParams,
+                  cal: CalibratedMeasure, grid: GridSpec) -> Basis:
+    """Y_n of every mode: interior X/g, atoms (1-alpha_j mu_j delta_j) X(j)/g.
+
+    Every row is checked against the Robin condition with the atom terms of
+    ``rn_derivative``, dF/dmu(j) = (-1)^j (trace_j(F) - F(j)) / alpha_j,
+    which need the endpoint traces only.  A row whose residual exceeds
+    1e-9 of its scale, or is not finite, raises ``RobinViolation``.
+    """
+    x = grid.x
+    vals = np.empty((len(modes), x.size))
+    for row, m in zip(vals, modes):
+        np.divide(m.profile(x), m.g, out=row)
+    t0, t1 = vals[:, 0], vals[:, -1]
+    v0 = (1.0 - cal.alpha0 * params.mu0 * params.delta(0)) * t0
+    v1 = (1.0 - cal.alpha1 * params.mu1 * params.delta(1)) * t1
+    r0 = (t0 - v0) / cal.alpha0 - cal.a0 * v0
+    r1 = (t1 - v1) / cal.alpha1 - cal.a1 * v1
+    scale = np.maximum(1.0, np.maximum(np.abs(cal.a0 * v0), np.abs(cal.a1 * v1)))
+    bad = np.flatnonzero(~(np.maximum(np.abs(r0), np.abs(r1)) <= 1e-9 * scale))
+    if bad.size:
+        i = bad[0]
+        raise RobinViolation(
+            f"mode n={modes[i].n}: robin residual ({float(r0[i])}, {float(r1[i])})")
+    return Basis(vals, v0, v1)
+
+
 def basis_mode(mode: Mode, params: ModelParams, cal: CalibratedMeasure,
                grid: GridSpec) -> MuFunction:
-    """Sampled basis function Y_n: interior X/g, atoms (1-alpha_j mu_j delta_j) X(j)/g."""
-    vals = mode.profile(grid.x) / mode.g
-    f0 = 1.0 - cal.alpha0 * params.mu0 * params.delta(0)
-    f1 = 1.0 - cal.alpha1 * params.mu1 * params.delta(1)
-    y = MuFunction(vals, f0 * float(vals[0]), f1 * float(vals[-1]))
-    r0, r1 = robin_residual(y, cal)
-    scale = max(1.0, abs(cal.a0 * y.v0), abs(cal.a1 * y.v1))
-    if max(abs(r0), abs(r1)) > 1e-9 * scale:
-        raise RobinViolation(
-            f"mode n={mode.n}: robin residual ({r0}, {r1})")
-    return y
+    """Sampled basis function Y_n of one mode (see :func:`_sample_basis`)."""
+    return _sample_basis([mode], params, cal, grid)[0]
 
 
 @dataclass
 class Spectrum:
-    """Ordered eigenpairs plus cached sampled basis functions."""
+    """Ordered eigenpairs plus the sampled basis, cached per grid."""
 
     params: ModelParams
     cal: CalibratedMeasure
@@ -373,11 +392,11 @@ class Spectrum:
     def lambdas(self) -> np.ndarray:
         return np.asarray([m.lam for m in self.modes])
 
-    def basis(self, grid: GridSpec) -> list[MuFunction]:
+    def basis(self, grid: GridSpec) -> Basis:
         key = grid.n_grid
         if key not in self._basis_cache:
-            self._basis_cache[key] = [
-                basis_mode(m, self.params, self.cal, grid) for m in self.modes]
+            self._basis_cache[key] = _sample_basis(self.modes, self.params,
+                                                   self.cal, grid)
         return self._basis_cache[key]
 
 
@@ -412,17 +431,18 @@ def asymptote_error(omega: float, params: ModelParams) -> float:
 def gram_matrix(spec: Spectrum, grid: GridSpec, n_modes: int) -> np.ndarray:
     """Gram matrix <Y_m, Y_n>_mu of the first ``n_modes`` basis functions."""
     basis = spec.basis(grid)[:n_modes]
-    B = np.stack([y.values for y in basis])
+    B, a0, a1 = basis.values, basis.v0, basis.v1
     G = (B * simpson_weights(grid.n_grid)) @ B.T
-    a0 = np.asarray([y.v0 for y in basis])
-    a1 = np.asarray([y.v1 for y in basis])
     G += spec.cal.alpha0 * np.outer(a0, a0) + spec.cal.alpha1 * np.outer(a1, a1)
     return G
 
 
-def export_csv(spec: Spectrum, path) -> None:
-    """Spectrum table: n, class, omega, lambda, g, asymptote_error."""
-    lines = ["n,class,omega,lambda,g,asymptote_error"]
+def export_csv(spec: Spectrum, path, header: Sequence[str] = ()) -> None:
+    """Spectrum table: n, class, omega, lambda, g, asymptote_error.
+
+    ``header`` lines (e.g. a ``# config=`` stamp) are written first.
+    """
+    lines = [*header, "n,class,omega,lambda,g,asymptote_error"]
     for m in spec.modes:
         err = (f"{asymptote_error(m.omega, spec.params):.17g}"
                if m.kind == "neg" else "nan")

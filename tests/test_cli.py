@@ -99,6 +99,44 @@ def test_invalid_values_exit_1(tmp_path):
     assert cli.main(["calibrate", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("field", ["mu0", "mu1", "w2", "w02", "w12"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), "-inf"])
+def test_non_finite_params_exit_1(field, bad, tmp_path, capsys):
+    params = {"mu0": 1.0, "mu1": 1.0, "w2": 1.0, "w02": 2.0, "w12": 2.0,
+              field: bad}
+    cfg = write_config(tmp_path / "c.json", params=params)
+    out = tmp_path / "out"
+    assert _run(cfg, "calibrate", out) == 1
+    assert not out.exists()
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, bad", [
+    (None, {"n_mode": 12}),
+    ("params", {"mu2": 1.0}),
+    ("grid", {"ngrid": 256}),
+    ("evolve", {"t_stop": 1.0}),
+    ("fock", {"nmax": 150}),
+    ("grid", 256),
+])
+def test_unknown_config_keys_exit_1(section, bad, tmp_path, capsys):
+    cfg = json.loads(write_config(tmp_path / "ok.json").read_text())
+    if section is None:
+        cfg.update(bad)
+    elif isinstance(bad, dict):
+        cfg[section].update(bad)
+    else:
+        cfg[section] = bad
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "malformed config" in err
+    assert (section or "config") in err
+
+
 def test_spectrum_csv(config_path, tmp_path):
     out = tmp_path / "out"
     assert _run(config_path, "spectrum", out) == 0

@@ -42,6 +42,22 @@ def test_project_unit_vector(generic_spectrum, grid4096):
     assert coeffs.truncation_residual <= 1e-8
 
 
+@pytest.mark.parametrize("n_grid, n_modes", [(512, None), (4096, 40)])
+def test_project_matches_inner_mu_loop(generic_spectrum, generic_cal, n_grid, n_modes):
+    grid = GridSpec(n_grid)
+    rng = np.random.default_rng(11)
+    _, data = random_domain_data(generic_spectrum, grid, rng, n_active=10, decay=1.0)
+    noise = MuFunction(rng.standard_normal(n_grid + 1), rng.standard_normal(),
+                       rng.standard_normal())
+    data = CauchyData(Q=data.Q + 0.1 * noise, P=data.P)
+    coeffs = project(data, generic_spectrum, n_modes=n_modes)
+    basis = list(generic_spectrum.basis(grid))[:n_modes]
+    for got, F in ((coeffs.q, data.Q), (coeffs.p, data.P)):
+        want = np.asarray([inner_mu(y, F, generic_cal) for y in basis])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_project_zero(generic_spectrum, grid512):
     coeffs = project(_zero_data(grid512), generic_spectrum, n_modes=8)
     assert np.all(coeffs.q == 0.0) and np.all(coeffs.p == 0.0)

@@ -26,6 +26,15 @@ def test_params_validation():
         ModelParams(1.0, 1.0, 1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("field", range(5))
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite(field, bad):
+    values = [1.0, 1.0, 1.0, 1.0, 1.0]
+    values[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(*values)
+
+
 def test_delta_accessor():
     p = ModelParams(1.0, 2.0, 1.5, 2.5, 0.5)
     assert p.delta(0) == 1.0

@@ -218,6 +218,20 @@ def test_csv_round_trip(tmp_path, grid512):
     assert np.array_equal(g.values, f.values)
 
 
+def test_csv_header_lines(tmp_path, grid512):
+    f = MuFunction(np.linspace(-1.0, 2.0, grid512.n_grid + 1) ** 3, 0.1, -0.2)
+    plain, stamped = tmp_path / "plain.csv", tmp_path / "stamped.csv"
+    save_csv(f, plain)
+    save_csv(f, stamped, header=["# config=abc"])
+    assert stamped.read_text() == "# config=abc\n" + plain.read_text()
+    lines = plain.read_text().split("\n")
+    assert lines[:3] == ["# atom0=0.10000000000000001", "# atom1=-0.20000000000000001",
+                         "x,value"]
+    assert lines[3:-1] == [f"{x:.17g},{v:.17g}" for x, v in zip(f.x, f.values)]
+    g = load_csv(stamped)
+    assert (g.v0, g.v1) == (f.v0, f.v1) and np.array_equal(g.values, f.values)
+
+
 @settings(max_examples=25, deadline=None)
 @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0), seed=st.integers(0, 99))
 def test_inner_mu_bilinear_symmetric(a, b, seed, generic_cal):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,8 +6,16 @@ import numpy as np
 import pytest
 
 from oracles import bisect, loglog_fit, matrix_frequencies, secular_scan
+from stringmass.errors import RobinViolation
 from stringmass.model import ModelParams, calibrate
-from stringmass.mufunc import GridSpec, MuFunction, inner_mu, robin_atoms, robin_residual
+from stringmass.mufunc import (
+    Basis,
+    GridSpec,
+    MuFunction,
+    inner_mu,
+    robin_atoms,
+    robin_residual,
+)
 from stringmass.spectrum import (
     _scan_roots,
     asymptote_error,
@@ -295,6 +304,81 @@ def test_basis_atoms_equal_traces_at_resonance(resonant_params, grid512):
         assert y.v1 == y.trace1
 
 
+def _basis_mode_reference(mode, params, cal, grid):
+    """The per-mode sampler that the Basis array replaced, with its Robin check."""
+    vals = mode.profile(grid.x) / mode.g
+    f0 = 1.0 - cal.alpha0 * params.mu0 * params.delta(0)
+    f1 = 1.0 - cal.alpha1 * params.mu1 * params.delta(1)
+    y = MuFunction(vals, f0 * float(vals[0]), f1 * float(vals[-1]))
+    r0, r1 = robin_residual(y, cal)
+    scale = max(1.0, abs(cal.a0 * y.v0), abs(cal.a1 * y.v1))
+    assert max(abs(r0), abs(r1)) <= 1e-9 * scale
+    return y
+
+
+@pytest.mark.parametrize("params", [
+    (1.5, 0.8, 2.0, 2.5, 1.2),   # generic, with an exponential-family mode
+    (1.0, 1.0, 1.0, 0.5, 2.0),   # zero mode
+    (1.0, 1.0, 1.0, 1.0, 1.0),   # resonance
+    (1.0, 1.0, 100.0, 0.0, 0.0),  # near-degenerate exponential pair
+])
+def test_basis_rows_match_per_mode_sampling(params, grid512):
+    p = ModelParams(*params)
+    cal = calibrate(p)
+    spec = build_spectrum(p, cal, n_neg=40)
+    basis = spec.basis(grid512)
+    assert isinstance(basis, Basis)
+    assert basis.values.shape == (len(spec.modes), grid512.n_grid + 1)
+    for i, mode in enumerate(spec.modes):
+        ref = _basis_mode_reference(mode, p, cal, grid512)
+        one = basis_mode(mode, p, cal, grid512)
+        assert np.array_equal(basis.values[i], mode.profile(grid512.x) / mode.g)
+        for y in (basis[i], one):
+            assert np.array_equal(y.values, ref.values)
+            assert (y.v0, y.v1) == (ref.v0, ref.v1)
+
+
+def test_basis_behaves_like_list(generic_spectrum, grid512):
+    basis = generic_spectrum.basis(grid512)
+    rows = list(basis)
+    assert len(basis) == len(rows) == len(generic_spectrum.modes)
+    assert all(isinstance(y, MuFunction) for y in rows)
+    for i in (0, 5, -1, -len(basis)):
+        y = basis[i]
+        assert np.array_equal(y.values, rows[i].values)
+        assert (y.v0, y.v1) == (rows[i].v0, rows[i].v1)
+    with pytest.raises(IndexError):
+        basis[len(basis)]
+    for sl in (slice(None, 7), slice(3, 9), slice(None, None, -2), slice(5, 5)):
+        part = basis[sl]
+        assert isinstance(part, Basis)
+        assert len(part) == len(rows[sl])
+        for y, r in zip(part, rows[sl]):
+            assert np.array_equal(y.values, r.values) and (y.v0, y.v1) == (r.v0, r.v1)
+    assert [y.v0 for y in basis[:4]] == [y.v0 for y in rows[:4]]
+    # rows are views of one read-only array, so the cached basis cannot be edited
+    assert np.shares_memory(basis[2].values, basis.values)
+    for arr in (basis.values, basis.v0, basis.v1, basis[2].values):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_basis_robin_violation_names_mode(generic_params, generic_cal, grid512):
+    spec = build_spectrum(generic_params, generic_cal, n_neg=12)
+    modes = list(spec.modes)
+    k = 5
+    modes[k] = dataclasses.replace(modes[k], a_coef=float("nan"))
+    bad = dataclasses.replace(spec, modes=modes, _basis_cache={})
+    with pytest.raises(RobinViolation, match=rf"mode n={modes[k].n}:"):
+        bad.basis(grid512)
+    with pytest.raises(RobinViolation, match=rf"mode n={modes[k].n}:"):
+        basis_mode(modes[k], generic_params, generic_cal, grid512)
+    # atoms that do not match the Robin couplings fail from the first mode on
+    wrong = dataclasses.replace(generic_cal, a0=1.01 * generic_cal.a0)
+    with pytest.raises(RobinViolation, match=rf"mode n={spec.modes[0].n}:"):
+        dataclasses.replace(spec, cal=wrong, _basis_cache={}).basis(grid512)
+
+
 def test_gram_orthonormality(generic_spectrum, grid4096):
     G = gram_matrix(generic_spectrum, grid4096, 30)
     off = G - np.diag(np.diag(G))
@@ -337,3 +421,6 @@ def test_export_csv(tmp_path, generic_spectrum):
     first = lines[1].split(",")
     assert first[1] in {"neg", "zero", "pos"}
     float(first[2]), float(first[3]), float(first[4])
+    stamped = tmp_path / "stamped.csv"
+    export_csv(generic_spectrum, stamped, header=["# config=abc"])
+    assert stamped.read_text() == "# config=abc\n" + path.read_text()
