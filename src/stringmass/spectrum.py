@@ -19,11 +19,10 @@ from .errors import BracketCollision, RobinViolation
 from .model import CalibratedMeasure, ModelParams, calibrate
 from .mufunc import Basis, GridSpec, MuFunction, simpson_weights
 
-_SCAN_SUBDIV = 4096
-_SCAN_BRACKETS = 20  # dense-scan range (0, 20*pi) used for n0 detection
 _ROOT_SEP = 1e-9
 _SCAN_XTOL = 1e-14  # a root is refined to within _SCAN_XTOL + _RTOL*|root|
 _RTOL = 8.9e-16
+_ZERO_TOL = 1e-12  # the zero mode exists when |zero_mode_defect| <= _ZERO_TOL
 
 
 def secular_negative(omega, params: ModelParams):
@@ -60,18 +59,31 @@ def secular_positive(omega, params: ModelParams):
     return val if val.ndim else float(val)
 
 
-def secular_positive_deriv(omega, params: ModelParams):
-    """Analytic d/domega of :func:`secular_positive`."""
-    w = np.asarray(omega, dtype=float)
-    d0, d1 = params.delta(0), params.delta(1)
+def _reduced_positive(w, params: ModelParams) -> np.ndarray:
+    """g = (w^2 + q0 q1) tanh(w)/w + q0 + q1 = -secular_positive / (2 w cosh w).
+
+    It has the roots of :func:`secular_positive` for w > 0, and g(0+) is the
+    zero-mode defect, so w = 0 is not a root of g off the zero-mode locus.
+    """
+    q0 = params.mu0 * (w * w + params.delta(0))
+    q1 = params.mu1 * (w * w + params.delta(1))
+    return (w * w + q0 * q1) * (np.tanh(w) / w) + q0 + q1
+
+
+def _reduced_positive_deriv(w, params: ModelParams) -> np.ndarray:
+    """Analytic d/dw of :func:`_reduced_positive` for w > 0.
+
+    (tanh(w)/w)' = (w sech^2 w - tanh w)/w^2 cancels as w -> 0, so below
+    w = 1e-2 its Taylor series is used.
+    """
     mu0, mu1 = params.mu0, params.mu1
-    a0, a1 = w - mu0 * (w * w + d0), w - mu1 * (w * w + d1)
-    c0, c1 = w + mu0 * (w * w + d0), w + mu1 * (w * w + d1)
-    val = (np.exp(-w) * ((1.0 - 2.0 * mu0 * w) * a1 + a0 * (1.0 - 2.0 * mu1 * w)
-                         - a0 * a1)
-           - np.exp(w) * ((1.0 + 2.0 * mu0 * w) * c1 + c0 * (1.0 + 2.0 * mu1 * w)
-                          + c0 * c1))
-    return val if val.ndim else float(val)
+    q0 = mu0 * (w * w + params.delta(0))
+    q1 = mu1 * (w * w + params.delta(1))
+    t = np.tanh(w) / w
+    w2 = w * w
+    dt = np.where(w < 1e-2, w * (-2.0 / 3.0 + w2 * (8.0 / 15.0 - w2 * (34.0 / 105.0))),
+                  (1.0 / np.cosh(w) ** 2 - t) / w)
+    return 2.0 * w * ((1.0 + mu0 * q1 + mu1 * q0) * t + mu0 + mu1) + (w2 + q0 * q1) * dt
 
 
 def _refine(f, lo, hi, flo, xtol: float) -> np.ndarray:
@@ -129,6 +141,147 @@ def _scan_roots(f, xs, xtol: float = _SCAN_XTOL, df=None):
     return rows[order], roots[order]
 
 
+def _w_star(params: ModelParams) -> float:
+    """sqrt(max(0, -delta0, -delta1)): at and above it both mu_j (w^2 + delta_j)
+    are >= 0, so the exponential family has no root and Phi' >= 1."""
+    return math.sqrt(max(0.0, -params.delta(0), -params.delta(1)))
+
+
+def _phase(w, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phi, psi = Phi - Phi(0+) and Phi' of the oscillatory family, for w > 0.
+
+    With p_j = mu_j (w^2 - delta_j) and Phi = w + atan(p0/w) + atan(p1/w),
+    ``secular_negative = sqrt(w^2+p0^2) sqrt(w^2+p1^2) sin(Phi)``, so its
+    roots are where Phi crosses a multiple of pi, and Phi(0+) =
+    -(pi/2)(sign delta0 + sign delta1).  In psi each atan is taken relative
+    to its limit at 0+ through arctan2, so psi keeps its relative precision
+    as w -> 0, where the two atan terms of Phi cancel.
+    """
+    phi, psi, dphi = w.copy(), w.copy(), np.ones_like(w)
+    for mu, d in ((params.mu0, params.delta(0)), (params.mu1, params.delta(1))):
+        p = mu * (w * w - d)
+        phi += np.arctan(p / w)
+        if d > 0.0:
+            psi += np.arctan2(w, -p)
+        elif d < 0.0:
+            psi -= np.arctan2(w, p)
+        else:
+            psi += np.arctan(mu * w)
+        dphi += mu * (w * w + d) / (w * w + p * p)
+    return phi, psi, dphi
+
+
+def _phase_breaks(params: ModelParams) -> np.ndarray:
+    """Points 0 < w < w* that cut the w axis into pieces where Phi is monotone.
+
+    Phi' >= 1 for w >= w* (:func:`_w_star`).  Below, Phi'
+    vanishes only where s = w^2 is a root of the quartic
+    (s+P0)(s+P1) + mu0 (s+delta0)(s+P1) + mu1 (s+delta1)(s+P0), P_j = p_j^2.
+    A real double root can come back from ``np.roots`` as a complex pair, so
+    the real part of every root cuts; a cut where Phi' != 0, or a repeated
+    cut, only adds a piece.
+    """
+    mu0, mu1, d0, d1 = params.mu0, params.mu1, params.delta(0), params.delta(1)
+    s_max = _w_star(params) ** 2
+    if s_max == 0.0:
+        return np.empty(0)
+    sp0 = [mu0 * mu0, 1.0 - 2.0 * mu0 * mu0 * d0, mu0 * mu0 * d0 * d0]  # s + P0
+    sp1 = [mu1 * mu1, 1.0 - 2.0 * mu1 * mu1 * d1, mu1 * mu1 * d1 * d1]
+    quartic = np.convolve(sp0, sp1)
+    quartic[1:] += np.convolve([mu0, mu0 * d0], sp1) + np.convolve([mu1, mu1 * d1], sp0)
+    s = np.roots(quartic).real
+    return np.sqrt(np.sort(s[(s > 0.0) & (s < s_max)]))
+
+
+def _solve_phase(lo, hi, k, h: float, up, params: ModelParams) -> np.ndarray:
+    """Solve Phi(w) = k*pi in every bracket [lo, hi] together; h = Phi(0+)/pi.
+
+    Phi increases on the brackets where ``up`` holds and decreases on the
+    others.  The trivial level k = h is solved on psi, which keeps its
+    precision near w = 0 where such a root can lie; the others on
+    Phi - k*pi.  Newton steps, bisecting whenever a step would leave the
+    bracket or does not halve the step before it (rtsafe); a point where the
+    residual is exactly 0 is kept.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    sgn = np.where(up, 1.0, -1.0)
+    x = 0.5 * (lo + hi)
+    step = hi - lo
+    idx = np.arange(x.size)
+    while idx.size:
+        xi, s, ki = x[idx], sgn[idx], k[idx]
+        phi, psi, dphi = _phase(xi, params)
+        f, df = s * np.where(ki == h, psi, phi - ki * math.pi), s * dphi
+        below = f < 0.0
+        lo[idx[below]] = xi[below]
+        hi[idx[~below]] = xi[~below]
+        l, u = lo[idx], hi[idx]
+        newton = ((((xi - u) * df - f) * ((xi - l) * df - f) < 0.0)
+                  & (np.abs(2.0 * f) <= np.abs(step[idx] * df)))
+        dx = xi - 0.5 * (l + u)
+        dx[newton] = f[newton] / df[newton]
+        dx[f == 0.0] = 0.0
+        x[idx] = xi - dx
+        step[idx] = dx
+        idx = idx[np.abs(dx) > _RTOL * xi]
+    return x
+
+
+def _phase_roots(params: ModelParams, k_top: int) -> np.ndarray:
+    """Roots of the oscillatory secular function, ascending: every root
+    below the last break of Phi, and above it those with Phi = k*pi, k <= k_top.
+
+    On each piece between breaks Phi is monotone and crosses once every
+    level k*pi strictly between its end values; a level equal to the value
+    at the right end belongs to that piece.  The level Phi(0+) at w = 0 is
+    the trivial root and is never counted.  Above the last break Phi
+    increases, and Phi - w lies in (-pi, pi), so the level k*pi is crossed
+    in ((k-1)*pi, (k+1)*pi).
+    """
+    h = -0.5 * (np.sign(params.delta(0)) + np.sign(params.delta(1)))  # Phi(0+)/pi
+    ends = np.concatenate([[0.0], _phase_breaks(params)])
+    vals = [0.0] + _phase(ends[1:], params)[1].tolist()  # psi at the ends
+    lo, hi, level, up = [], [], [], []
+    for i in range(ends.size - 1):
+        va, vb = vals[i], vals[i + 1]
+        ks = range(math.floor(min(va, vb) / math.pi + h) - 1,
+                   math.ceil(max(va, vb) / math.pi + h) + 2)
+        if vb > va:
+            ks = [k for k in ks if va < (k - h) * math.pi <= vb]
+        else:
+            ks = [k for k in reversed(ks) if vb <= (k - h) * math.pi < va]
+        lo += [ends[i]] * len(ks)
+        hi += [ends[i + 1]] * len(ks)
+        level += ks
+        up += [vb > va] * len(ks)
+    k = math.floor(vals[-1] / math.pi + h) - 1
+    while (k - h) * math.pi <= vals[-1]:
+        k += 1
+    ks = np.arange(k, k_top + 1)
+    return _solve_phase(
+        np.concatenate([lo, np.maximum(ends[-1], (ks - 1) * math.pi)]),
+        np.concatenate([hi, (ks + 1) * math.pi]),
+        np.concatenate([level, ks]).astype(float), h,
+        np.concatenate([np.array(up, dtype=bool), np.ones(ks.size, dtype=bool)]),
+        params)
+
+
+def _zero_mode_radius_sq(params: ModelParams) -> float:
+    """omega^2 up to which a root of either family is the zero mode itself.
+
+    Near lambda = 0 both secular functions, divided as in
+    :func:`_reduced_positive`, read defect + g2*lambda (lambda = omega^2 for
+    the exponential family and -omega^2 for the oscillatory one).  Where the
+    zero mode exists, |defect| <= _ZERO_TOL, and the one root it splits off
+    sits at |lambda| <= _ZERO_TOL/|g2|, twice that covering the next order.
+    """
+    if abs(zero_mode_defect(params)) > _ZERO_TOL:
+        return 0.0
+    q0, q1 = params.mu0 * params.delta(0), params.mu1 * params.delta(1)
+    g2 = 1.0 + params.mu0 + params.mu1 + params.mu0 * q1 + params.mu1 * q0 - q0 * q1 / 3.0
+    return 2.0 * _ZERO_TOL / abs(g2) if g2 else 0.0
+
+
 def _polish_negative(omega, params: ModelParams) -> np.ndarray:
     """Up to three Newton steps on every root; a root stops at a zero
     derivative or at a step longer than 0.1."""
@@ -146,56 +299,43 @@ def _polish_negative(omega, params: ModelParams) -> np.ndarray:
     return omega
 
 
-def bracket_counts(params: ModelParams, k_lo: int, k_hi: int,
-                   subdiv: int = _SCAN_SUBDIV) -> dict[int, list[float]]:
+def bracket_counts(params: ModelParams, k_lo: int, k_hi: int) -> dict[int, list[float]]:
     """Roots of the oscillatory secular function per pi-bracket (k*pi,(k+1)*pi)."""
-    ks = np.arange(k_lo, k_hi)
-    lo = np.maximum(ks * math.pi, 1e-9) + 1e-9
-    hi = (ks + 1) * math.pi - 1e-9
-    rows, roots = _scan_roots(lambda w: secular_negative(w, params),
-                              np.linspace(lo, hi, subdiv + 1, axis=-1))
-    return {k: roots[rows == i].tolist() for i, k in enumerate(range(k_lo, k_hi))}
+    roots = _phase_roots(params, k_hi)  # a root of level k > k_hi lies above k_hi*pi
+    bracket = np.floor(roots / math.pi)
+    return {k: roots[bracket == k].tolist() for k in range(k_lo, k_hi)}
 
 
 def detect_threshold(params: ModelParams) -> tuple[int, list[float]]:
-    """Bracket threshold n0 (last bracket below 20*pi with root count != 1)
-    and all roots found in the dense-scan range."""
-    counts = bracket_counts(params, 0, _SCAN_BRACKETS)
-    n0 = -1
-    roots = []
-    for k in range(_SCAN_BRACKETS):
-        if len(counts[k]) != 1:
-            n0 = k
-        roots.extend(counts[k])
-    return n0, sorted(roots)
+    """Bracket threshold n0 (last pi-bracket whose root count is not 1, -1 if
+    none) and the roots in the brackets below K.
+
+    Every bracket from K = ceil(max(w*, w_E)/pi) on holds one root: Phi
+    increases above w* (:func:`_w_star`), and Phi - w = atan(p0/w) +
+    atan(p1/w) lies in (0, pi) above the one zero
+    w_E^2 = (mu0 delta0 + mu1 delta1)/(mu0 + mu1) of p0 + p1.
+    """
+    mu0, mu1, d0, d1 = params.mu0, params.mu1, params.delta(0), params.delta(1)
+    w_e = math.sqrt(max(0.0, (mu0 * d0 + mu1 * d1) / (mu0 + mu1)))
+    counts = bracket_counts(params, 0, math.ceil(max(_w_star(params), w_e) / math.pi))
+    n0 = max((k for k, roots in counts.items() if len(roots) != 1), default=-1)
+    return n0, [w for roots in counts.values() for w in roots]
 
 
 def find_negative_modes(params: ModelParams, k_max: int) -> list[float]:
     """First ``k_max`` roots of the oscillatory secular equation, ascending.
 
-    The low range is handled by a dense sign scan; above it each pi-bracket
-    whose ends differ in sign is bisected, all of them together, and any
-    other bracket is scanned densely.  Every root then gets a Newton polish.
+    The roots are counted and solved on the phase Phi (see
+    :func:`_phase_roots`); a root that is the zero mode is dropped.  Every
+    root then gets a Newton polish.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    _, roots = detect_threshold(params)
-    f = lambda w: secular_negative(w, params)
-    k = _SCAN_BRACKETS
-    while len(roots) < k_max:
-        ks = np.arange(k, k + k_max - len(roots))
-        lo = ks * math.pi + 1e-8
-        hi = (ks + 1) * math.pi - 1e-8
-        flo = f(lo)
-        one = flo * f(hi) < 0.0
-        rows, scanned = _scan_roots(
-            f, np.linspace(lo[~one], hi[~one], _SCAN_SUBDIV + 1, axis=-1))
-        bracket = np.concatenate([np.flatnonzero(one), np.flatnonzero(~one)[rows]])
-        found = np.concatenate([_refine(f, lo[one], hi[one], flo[one], 1e-13),
-                                scanned])
-        roots.extend(found[np.argsort(bracket, kind="stable")].tolist())
-        k += ks.size
-    roots = np.sort(_polish_negative(roots[:k_max], params))
+    # the first level above the last break is at most ceil(w*/pi) + 1, so this
+    # leaves at least k_max + 2 roots
+    roots = _phase_roots(params, k_max + math.ceil(_w_star(params) / math.pi) + 2)
+    roots = roots[roots * roots > _zero_mode_radius_sq(params)][:k_max]
+    roots = np.sort(_polish_negative(roots, params))
     close = np.flatnonzero(np.diff(roots) < _ROOT_SEP)
     if close.size:
         a, b = float(roots[close[0]]), float(roots[close[0] + 1])
@@ -203,24 +343,23 @@ def find_negative_modes(params: ModelParams, k_max: int) -> list[float]:
     return roots.tolist()
 
 
-def find_positive_modes(params: ModelParams,
-                        omega_cap: float | None = None) -> tuple[list[float], list[float]]:
+def find_positive_modes(params: ModelParams) -> tuple[list[float], list[float]]:
     """Roots of the exponential secular equation, split into (physical, flagged).
 
-    Physical roots satisfy omega^2 < w2 (lambda below the string threshold);
-    any further roots up to ``omega_cap`` are returned flagged.  The scan
-    splits cells at extrema of the secular function, so a near-degenerate
-    pair of roots inside one cell is found.
+    There is no root at or above w* (:func:`_w_star`), and w* <= sqrt(w2),
+    so every root is physical (omega^2 < w2) and ``flagged`` is empty.
+    :func:`_reduced_positive` is scanned on the grid up to its first point at
+    or beyond w*, with cells split at extrema, so a near-degenerate pair
+    inside one cell is found.  A root that is the zero mode is dropped.
     """
-    w_phys = math.sqrt(params.w2)
-    cap = omega_cap if omega_cap is not None else w_phys + 10.0
-    _, roots = _scan_roots(lambda w: secular_positive(w, params),
-                           np.linspace(1e-9, cap, 10_001),
-                           df=lambda w: secular_positive_deriv(w, params))
-    roots = roots.tolist()
-    physical = [w for w in roots if w < w_phys]
-    flagged = [w for w in roots if w >= w_phys]
-    return physical, flagged
+    w_star = _w_star(params)
+    if w_star == 0.0:
+        return [], []
+    xs = np.linspace(1e-9, math.sqrt(params.w2) + 10.0, 10_001)
+    _, roots = _scan_roots(lambda w: _reduced_positive(w, params),
+                           xs[:np.searchsorted(xs, w_star) + 1],
+                           df=lambda w: _reduced_positive_deriv(w, params))
+    return roots[roots * roots > _zero_mode_radius_sq(params)].tolist(), []
 
 
 def zero_mode_defect(params: ModelParams) -> float:
@@ -302,9 +441,9 @@ def _profile_norm_sq(kind: str, omega: float, a: float, b: float,
                 + b * b * (0.5 - s2 / (4.0 * omega)))
         x1 = a * math.cos(omega) + b * math.sin(omega)
     elif kind == "pos":
-        bulk = (a * a * (math.exp(2.0 * omega) - 1.0) / (2.0 * omega)
+        bulk = (a * a * math.expm1(2.0 * omega) / (2.0 * omega)
                 + 2.0 * a * b
-                + b * b * (1.0 - math.exp(-2.0 * omega)) / (2.0 * omega))
+                - b * b * math.expm1(-2.0 * omega) / (2.0 * omega))
         x1 = a * math.exp(omega) + b * math.exp(-omega)
     else:
         bulk = a * a + a * b + b * b / 3.0
@@ -346,7 +485,12 @@ def _sample_basis(modes: list[Mode], params: ModelParams,
 
     Every row is checked against the Robin condition with the atom terms of
     ``rn_derivative``, dF/dmu(j) = (-1)^j (trace_j(F) - F(j)) / alpha_j,
-    which need the endpoint traces only.  A row whose residual exceeds
+    which need the endpoint traces only.  The atoms are made from the traces,
+    so that check fails only for a non-finite row or a calibration that does
+    not match the parameters.  Each mode's coefficients are also checked
+    against the boundary row at x = 0, X'(0) = mu0 (lambda + delta0) X(0),
+    which a wrong eigenfunction fails.  (The row at x = 1 is the secular
+    equation, whose residual is the root's.)  A row whose residual exceeds
     1e-9 of its scale, or is not finite, raises ``RobinViolation``.
     """
     x = grid.x
@@ -359,11 +503,20 @@ def _sample_basis(modes: list[Mode], params: ModelParams,
     r0 = (t0 - v0) / cal.alpha0 - cal.a0 * v0
     r1 = (t1 - v1) / cal.alpha1 - cal.a1 * v1
     scale = np.maximum(1.0, np.maximum(np.abs(cal.a0 * v0), np.abs(cal.a1 * v1)))
-    bad = np.flatnonzero(~(np.maximum(np.abs(r0), np.abs(r1)) <= 1e-9 * scale))
+    # X'(0)/g of each closed form, as Mode.dprofile gives it
+    d0 = np.array([(m.omega * (m.a_coef - m.b_coef) if m.kind == "pos"
+                    else m.omega * m.b_coef if m.kind == "neg" else m.b_coef) / m.g
+                   for m in modes])
+    k0 = params.mu0 * (np.array([m.lam for m in modes]) + params.delta(0)) * t0
+    row0 = d0 - k0
+    ok = ((np.maximum(np.abs(r0), np.abs(r1)) <= 1e-9 * scale)
+          & (np.abs(row0) <= 1e-9 * np.maximum(np.abs(d0), np.abs(k0))))
+    bad = np.flatnonzero(~ok)
     if bad.size:
         i = bad[0]
         raise RobinViolation(
-            f"mode n={modes[i].n}: robin residual ({float(r0[i])}, {float(r1[i])})")
+            f"mode n={modes[i].n}: robin residual ({float(r0[i])}, {float(r1[i])}), "
+            f"boundary row at x=0 {float(row0[i])}")
     return Basis(vals, v0, v1)
 
 
@@ -413,7 +566,7 @@ def build_spectrum(params: ModelParams, cal: CalibratedMeasure | None = None,
         for i, w in enumerate(sorted(physical, reverse=True)):
             modes.append(_make_mode(-(i + 1), "pos", w, w * w, params))
         modes.sort(key=lambda m: m.n)
-    if include_zero and abs(zero_mode_defect(params)) <= 1e-12:
+    if include_zero and abs(zero_mode_defect(params)) <= _ZERO_TOL:
         modes.append(_make_mode(0, "zero", 0.0, 0.0, params))
     for i, w in enumerate(find_negative_modes(params, n_neg)):
         modes.append(_make_mode(i + 1, "neg", w, -w * w, params))

@@ -17,6 +17,8 @@ from stringmass.mufunc import (
     robin_residual,
 )
 from stringmass.spectrum import (
+    _reduced_positive,
+    _reduced_positive_deriv,
     _scan_roots,
     asymptote_error,
     basis_mode,
@@ -32,7 +34,6 @@ from stringmass.spectrum import (
     secular_negative,
     secular_negative_deriv,
     secular_positive,
-    secular_positive_deriv,
     zero_mode_defect,
 )
 
@@ -45,6 +46,8 @@ NEAR_DEGENERATE = [
     (1.27493, 1.18723, 71.7567, 0.511975, 0.0337111),
     (19.0603, 6.24517, 71.6818, 0.912459, 0.0156523),
 ]
+# ROADMAP item 2's second repro: a hair off the zero-mode locus
+REPRO_ZERO_LOCUS = (1.0, 1.0, 1.0, 1.5, 1.0 / 1.5 + 1e-9)
 
 
 def test_secular_negative_at_pi_multiples(generic_params):
@@ -65,12 +68,18 @@ def test_secular_negative_deriv_matches_fd(generic_params):
         fd, rel=1e-7)
 
 
-def test_secular_positive_deriv_matches_fd(generic_params):
-    for p in (generic_params, ModelParams(*NEAR_DEGENERATE[0])):
-        for w in (0.3, 2.7, 9.5):
-            h = 1e-6 * w
-            fd = (secular_positive(w + h, p) - secular_positive(w - h, p)) / (2.0 * h)
-            assert secular_positive_deriv(w, p) == pytest.approx(fd, rel=1e-7)
+def test_reduced_positive_and_deriv():
+    # g = -secular_positive / (2 w cosh w) (which cancels badly as w -> 0),
+    # and g' against the complex-step derivative Im g(w + ih)/h, on both
+    # sides of the series cut (tanh(z)/z loses about eps/w^2 of the step)
+    for params in ((1.5, 0.8, 2.0, 2.5, 1.2), NEAR_DEGENERATE[0], REPRO_ZERO_LOCUS):
+        p = ModelParams(*params)
+        w = np.array([1e-3, 0.0099, 0.0101, 0.3, 2.7, 9.5])
+        assert _reduced_positive(w, p) == pytest.approx(
+            -secular_positive(w, p) / (2.0 * w * np.cosh(w)), rel=1e-10)
+        h = 1e-30
+        step = _reduced_positive(w + 1j * h, p).imag / h
+        assert _reduced_positive_deriv(w, p) == pytest.approx(step, rel=1e-8)
 
 
 def _scan_loop(f, xs):
@@ -106,7 +115,7 @@ def test_scan_roots_grid_zeros_and_adjacent_cells():
 
 def test_bracket_counts_match_per_bracket_scan(generic_params):
     f = lambda w: secular_negative(w, generic_params)
-    counts = bracket_counts(generic_params, 0, 4, subdiv=256)
+    counts = bracket_counts(generic_params, 0, 4)
     for k, got in counts.items():
         lo = max(k * math.pi, 1e-9) + 1e-9
         hi = (k + 1) * math.pi - 1e-9
@@ -123,13 +132,66 @@ def test_near_degenerate_exponential_pair_found(params):
     assert got[:6] == pytest.approx(oracle[:6], rel=1e-4)
 
 
-def test_build_spectrum_emits_no_warnings(generic_params):
-    rng = np.random.default_rng(2026)
+def _box_draws(n, seed):
+    """Parameter draws from the benchmark's log-uniform box."""
+    rng = np.random.default_rng(seed)
     log_uniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    draws = [generic_params] + [
-        ModelParams(log_uniform(0.05, 20), log_uniform(0.05, 20),
-                    log_uniform(0.1, 100), log_uniform(0.01, 100),
-                    log_uniform(0.01, 100)) for _ in range(200)]
+    return [(log_uniform(0.05, 20), log_uniform(0.05, 20), log_uniform(0.1, 100),
+             log_uniform(0.01, 100), log_uniform(0.01, 100)) for _ in range(n)]
+
+
+ZERO_LOCUS = (1.0, 1.0, 1.0, 0.5, 2.0)  # zero_mode_defect exactly 0
+ORACLE_SWEEP = ([(1.5, 0.8, 2.0, 2.5, 1.2), REPRO_ZERO_LOCUS,
+                 (1.0, 1.0, 1.0, 1.5, 1.0 / 1.5 - 1e-9), ZERO_LOCUS]
+                + NEAR_DEGENERATE + _box_draws(30, 505))
+
+
+@pytest.mark.parametrize("params", ORACLE_SWEEP)
+def test_spectrum_matches_matrix_oracle(params):
+    # mode counts and the lowest 6 Omega^2 = w2 - lambda against the pencil,
+    # within its discretisation error: the largest change across n_grid
+    # 400/800/1600, as the benchmark's spectra check takes it
+    p = ModelParams(*params)
+    spec = build_spectrum(p, n_neg=16)
+    assert len(spec.negative_modes) == 16
+    got = np.sort(p.w2 - spec.lambdas)
+    ladder = [matrix_frequencies(p, n, k=8) for n in (400, 800, 1600)]
+    fine = ladder[-1]
+    tol = np.max(np.abs(np.diff(ladder, axis=0)), axis=0) + 1e-9 * np.maximum(1.0, fine)
+    assert np.all(np.abs(got[:6] - fine[:6]) <= tol[:6])
+    off = tol.max()
+    assert np.sum(got < p.w2 - off) == np.sum(fine < p.w2 - off)
+
+
+def test_zero_mode_locus_counted_once():
+    # on the locus the zero mode stands for the root near omega = 0 that
+    # each family's secular function also has; neither family reports it
+    p = ModelParams(*ZERO_LOCUS)
+    cal = calibrate(p)
+    spec = build_spectrum(p, cal, n_neg=16)
+    assert [m.kind for m in spec.modes if abs(m.lam) < 1e-3] == ["zero"]
+    assert find_positive_modes(p) == ([], [])
+    assert find_negative_modes(p, 1)[0] > 1.0
+    G = gram_matrix(spec, GridSpec(4096), 8)
+    assert np.max(np.abs(G - np.eye(8))) <= 1e-8
+
+
+@pytest.mark.parametrize("offset", [1e-9, 1e-11])
+def test_zero_locus_neighbours(offset):
+    # a hair off the locus the zero mode becomes one family's mode near
+    # omega = 0: oscillatory on the + side, exponential on the - side, both
+    # at omega^2 = |defect/g2| (defect = 1.5 offset, g2 = 29/9 to first order)
+    for side in (1.0, -1.0):
+        p = ModelParams(1.0, 1.0, 1.0, 1.5, 1.0 / 1.5 + side * offset)
+        spec = build_spectrum(p, n_neg=8)
+        kinds = [m.kind for m in spec.modes]
+        assert "zero" not in kinds and kinds.count("pos") == (side < 0)
+        assert kinds[0] == ("neg" if side > 0 else "pos")
+        assert spec.modes[0].omega ** 2 == pytest.approx(1.5 * offset * 9.0 / 29.0, rel=1e-3)
+
+
+def test_build_spectrum_emits_no_warnings(generic_params):
+    draws = [generic_params] + [ModelParams(*d) for d in _box_draws(200, 2026)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p in draws:
@@ -373,6 +435,10 @@ def test_basis_robin_violation_names_mode(generic_params, generic_cal, grid512):
         bad.basis(grid512)
     with pytest.raises(RobinViolation, match=rf"mode n={modes[k].n}:"):
         basis_mode(modes[k], generic_params, generic_cal, grid512)
+    # a finite profile that is not the eigenfunction fails the row at x = 0
+    wrong_x = dataclasses.replace(spec.modes[k], a_coef=2.0 * spec.modes[k].a_coef + 0.3)
+    with pytest.raises(RobinViolation, match=rf"mode n={wrong_x.n}:"):
+        basis_mode(wrong_x, generic_params, generic_cal, grid512)
     # atoms that do not match the Robin couplings fail from the first mode on
     wrong = dataclasses.replace(generic_cal, a0=1.01 * generic_cal.a0)
     with pytest.raises(RobinViolation, match=rf"mode n={spec.modes[0].n}:"):
